@@ -43,8 +43,9 @@
 // cannot see. Thresholds are configurable via
 // -max-qps-drop, -max-p50-growth, -max-p99-growth, -max-alloc-growth,
 // -max-mallocs-growth, -max-vec-speedup-drop (fractions; 0.3 = 30%),
-// and -min-vec-recall (absolute floor). CI runs this against the
-// committed BENCH_<date>.json baseline.
+// and -min-vec-recall (absolute floor). Two runs at different scale or
+// GOMAXPROCS are refused with exit 2, never compared. CI runs this
+// against the committed BENCH_<date>.json baseline.
 //
 // The "paper" scale uses the paper's node counts (64/128/256 x 32
 // ranks) and a 1e-3 rendition of its 66M sequence comparisons; expect
@@ -76,7 +77,7 @@ func main() {
 	vecK := flag.Int("vec-k", 10, "vector bench: top-k per query")
 	vecEf := flag.Int("vec-ef", 64, "vector bench: HNSW query beam (efSearch)")
 	chaosSeed := flag.Int64("chaos-seed", 0, "replay one chaos schedule by seed, with verbose narration (non-zero exit on an invariant violation)")
-	compare := flag.Bool("compare", false, "regression gate: diff two baseline JSON files (args: baseline.json new.json), exit 1 on regression")
+	compare := flag.Bool("compare", false, "regression gate: diff two baseline JSON files (args: baseline.json new.json), exit 1 on regression, 2 on mismatched scale or GOMAXPROCS")
 	confRun := flag.Bool("conformance", false, "run the SPARQL conformance sweep instead of the experiments")
 	var cf confFlags
 	flag.IntVar(&cf.n, "conformance-n", 2000, "conformance: corpus size")
@@ -314,7 +315,8 @@ func runVectorBench(vectors, dim, k, ef int) (*experiments.VectorBenchPoint, err
 
 // runCompare is the bench regression gate: it diffs the new baseline
 // against the committed one and returns 1 when any metric breached its
-// threshold (the exit status CI keys off).
+// threshold (the exit status CI keys off), or 2 when the two runs are
+// not comparable (different scale or GOMAXPROCS).
 func runCompare(args []string, th experiments.CompareThresholds) int {
 	if len(args) != 2 {
 		fmt.Fprintln(os.Stderr, "usage: ids-bench -compare [threshold flags] baseline.json new.json")
@@ -333,8 +335,9 @@ func runCompare(args []string, th experiments.CompareThresholds) int {
 	fmt.Printf("bench compare: baseline %s (%s, go %s, GOMAXPROCS %d) vs new %s (%s, go %s, GOMAXPROCS %d)\n",
 		base.Date, base.Scale, base.GoVersion, base.GOMAXPROCS,
 		nw.Date, nw.Scale, nw.GoVersion, nw.GOMAXPROCS)
-	if base.Scale != nw.Scale {
-		fmt.Printf("note: scales differ (%q vs %q) — comparison is apples to oranges\n", base.Scale, nw.Scale)
+	if err := experiments.Comparable(base, nw); err != nil {
+		fmt.Fprintf(os.Stderr, "compare: refusing to gate: %v\n", err)
+		return 2
 	}
 	regs := experiments.CompareBench(base, nw, th)
 	if len(regs) == 0 {

@@ -417,7 +417,8 @@ func (e *batchEnv) Lookup(name string) (expr.Value, bool) {
 // FilterBatch evaluates e against every row of the batch, keeping rows
 // whose effective boolean value is true — semantics, profiling,
 // virtual-cost charging and re-balancing all identical to the row
-// engine's Filter.
+// engine's Filter. It reports the conjunct order as stats.Chain, left
+// unformatted: the caller renders it only when a trace will read it.
 func FilterBatch(r *mpp.Rank, b *Batch, e expr.Expr, funcs expr.FuncResolver,
 	prof *udf.Profiler, res expr.Resolver, opts FilterOpts, a *Arena) (*Batch, FilterStats, error) {
 
@@ -462,10 +463,7 @@ func FilterBatch(r *mpp.Rank, b *Batch, e expr.Expr, funcs expr.FuncResolver,
 		}
 	}
 
-	stats.Order = make([]string, len(chain))
-	for i, c := range chain {
-		stats.Order[i] = c.String()
-	}
+	stats.Chain = chain
 
 	cols := make(map[string]int, len(b.Vars))
 	for i, v := range b.Vars {

@@ -9,8 +9,10 @@ import (
 // values (floats, strings, booleans) cannot ride in the dictionary-ID
 // columnar stream, and per-rank interning would break cross-rank
 // exchange determinism. After Gather every rank holds the full solution
-// table, so both engines share these row operators verbatim and agree
-// byte-for-byte.
+// table, so whichever rank finishes the query (rank 0 alone on the
+// engine's columnar query path, every rank in RunPlan and the row
+// engine) sees every row. Both engines share these row operators
+// verbatim and agree byte-for-byte.
 
 // BindSpec is one BIND(expr AS ?var) computed column.
 type BindSpec struct {

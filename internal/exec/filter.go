@@ -50,8 +50,12 @@ type FilterStats struct {
 	Errors    int // rows dropped due to evaluation errors
 	UDFCost   float64
 	// Order is the conjunct evaluation order used by this rank
-	// (stringified), exposing per-rank independent reordering.
+	// (stringified), exposing per-rank independent reordering. Set by
+	// the row Filter only.
 	Order []string
+	// Chain is the same order as expressions, set by FilterBatch, which
+	// leaves formatting to callers that trace.
+	Chain []expr.Expr
 	// RowsBefore is the local row count before §2.4.2 re-balancing.
 	RowsBefore int
 	// Rebalance reports the rows this rank shipped/received during

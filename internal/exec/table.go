@@ -83,10 +83,14 @@ func (t *Table) Project(names []string) (*Table, error) {
 		}
 		idx[i] = c
 	}
+	// One shared cell array for all rows, as Batch.Materialize builds:
+	// two allocations instead of one per row.
 	out := NewTable(names...)
+	w := len(idx)
+	cells := make([]expr.Value, len(t.Rows)*w)
 	out.Rows = make([][]expr.Value, len(t.Rows))
 	for r, row := range t.Rows {
-		nr := make([]expr.Value, len(idx))
+		nr := cells[r*w : (r+1)*w : (r+1)*w]
 		for i, c := range idx {
 			nr[i] = row[c]
 		}

@@ -153,6 +153,20 @@ func relGrowth(base, nw float64) float64 {
 	return (nw - base) / base
 }
 
+// Comparable reports whether two baselines ran under the same settings:
+// the same scale and the same GOMAXPROCS. Throughput, latency and
+// allocation all move with both, so a gate across different settings
+// would measure the settings, not the code.
+func Comparable(base, nw *BenchReport) error {
+	if base.Scale != nw.Scale {
+		return fmt.Errorf("experiments: scale differs: baseline %q, new %q", base.Scale, nw.Scale)
+	}
+	if base.GOMAXPROCS != nw.GOMAXPROCS {
+		return fmt.Errorf("experiments: GOMAXPROCS differs: baseline %d, new %d", base.GOMAXPROCS, nw.GOMAXPROCS)
+	}
+	return nil
+}
+
 // CompareBench diffs nw against base and returns every threshold
 // breach. Load points pair by concurrency level; a baseline level
 // missing from the new run is itself reported (the gate must not pass

@@ -84,6 +84,27 @@ func TestCompareBenchNoRegression(t *testing.T) {
 	}
 }
 
+// TestComparableRefusesMismatchedSettings: the gate pairs load points
+// only between runs at the same scale and GOMAXPROCS; anything else is
+// refused rather than compared.
+func TestComparableRefusesMismatchedSettings(t *testing.T) {
+	base := benchFixture()
+	same := benchFixture()
+	if err := Comparable(&base, &same); err != nil {
+		t.Fatalf("identical settings refused: %v", err)
+	}
+	procs := benchFixture()
+	procs.GOMAXPROCS = 2
+	if err := Comparable(&base, &procs); err == nil || !strings.Contains(err.Error(), "GOMAXPROCS") {
+		t.Fatalf("GOMAXPROCS 1 vs 2 not refused: %v", err)
+	}
+	scale := benchFixture()
+	scale.Scale = "paper"
+	if err := Comparable(&base, &scale); err == nil || !strings.Contains(err.Error(), "scale") {
+		t.Fatalf("scale ci vs paper not refused: %v", err)
+	}
+}
+
 func TestCompareBenchImprovementPasses(t *testing.T) {
 	base := benchFixture()
 	nw := benchFixture()

@@ -15,19 +15,20 @@ import (
 	"ids/internal/udf"
 )
 
-// Columnar plan execution: the batch/vector twin of runPlanRec and
+// Columnar plan execution: the batch/vector twin of runPlanRows and
 // runSteps in engine.go. The pre-gather pipeline carries column batches
-// of dict IDs through arena-backed buffers; rows are materialized once,
-// at gather, and the post-gather stages (aggregate, order, slice,
-// project) reuse the row operators unchanged.
+// of dict IDs through arena-backed buffers on every rank; after the
+// gather, the finishing rank materializes the rows once and the
+// post-gather stages (bind, aggregate, order, slice, project) reuse the
+// row operators unchanged.
 //
 // Accounting discipline: arena-backed scratch is recycled across
 // operators and queries, so an operator may allocate nothing. Each op
 // therefore reports the arena's *fresh-heap delta* (new slabs, grown
 // scratch) across its execution — real allocations only — plus, at
-// gather, the materialized result table. That keeps PR 6's two-ledger
-// invariant intact: op-accounted bytes stay a strictly positive
-// under-estimate of the physical runtime/metrics delta.
+// gather, the materialized result table. That keeps the two-ledger
+// invariant (DESIGN.md §10) intact: op-accounted bytes stay a strictly
+// positive under-estimate of the physical runtime/metrics delta.
 
 // slotKey carries the server's admission-slot index through the
 // request context into the engine, keying arena reuse.
@@ -53,14 +54,25 @@ func freshSince(a *exec.Arena, b0, m0 int64) (bytes, mallocs int64) {
 	return b1 - b0, m1 - m0
 }
 
-// runPlanBatch executes the plan on one rank through the columnar
-// operators, returning the final (gathered, materialized, ordered,
-// projected) table — identical on every rank, and identical row sets to
-// the row engine's runPlanRec.
-func (e *Engine) runPlanBatch(ctx context.Context, r *mpp.Rank, pl *plan.Plan, rec *obs.RankRecorder, profs []*udf.Profiler, a *exec.Arena) (*exec.Table, error) {
+// gatheredBatch is one rank's plan result after the gather collective:
+// the full solution batch, identical on every rank, and the gather op
+// sample, left open so the rank that materializes can add the result
+// table's footprint before recording it.
+type gatheredBatch struct {
+	b  *exec.Batch
+	ot opTimer
+	op obs.OpSample
+}
+
+// gatherPlanBatch runs the every-rank half of a plan on the columnar
+// operators: the steps, then DISTINCT and the gather collective. All
+// of the plan's collectives run here, so the virtual clock and the
+// exchange traffic are those of a full every-rank execution whichever
+// ranks go on to finish.
+func (e *Engine) gatherPlanBatch(ctx context.Context, r *mpp.Rank, pl *plan.Plan, rec *obs.RankRecorder, profs []*udf.Profiler, a *exec.Arena) (gatheredBatch, error) {
 	b, err := e.runStepsBatch(ctx, r, pl.Steps, nil, rec, profs, a, 0)
 	if err != nil {
-		return nil, err
+		return gatheredBatch{}, err
 	}
 
 	r.SetPhase("merge")
@@ -70,7 +82,7 @@ func (e *Engine) runPlanBatch(ctx context.Context, r *mpp.Rank, pl *plan.Plan, r
 		in := b.Len()
 		b, err = exec.DistinctGlobalBatch(r, b, a)
 		if err != nil {
-			return nil, err
+			return gatheredBatch{}, err
 		}
 		db, dm := freshSince(a, fb0, fm0)
 		ot.record(rec, r, obs.OpSample{Op: "distinct", RowsIn: in, RowsOut: b.Len(),
@@ -81,17 +93,33 @@ func (e *Engine) runPlanBatch(ctx context.Context, r *mpp.Rank, pl *plan.Plan, r
 	in := b.Len()
 	b, err = exec.GatherBatch(r, b, a)
 	if err != nil {
-		return nil, err
+		return gatheredBatch{}, err
 	}
-	tab := b.Materialize()
-	gb, gm := b.MaterializeFootprint()
 	db, dm := freshSince(a, fb0, fm0)
-	ot.record(rec, r, obs.OpSample{Op: "gather", RowsIn: in, RowsOut: tab.Len(),
-		AllocBytes: gb + db, Mallocs: gm + dm})
+	return gatheredBatch{b: b, ot: ot, op: obs.OpSample{Op: "gather", RowsIn: in, RowsOut: b.Len(),
+		AllocBytes: db, Mallocs: dm}}, nil
+}
+
+// finishPlanBatch turns a gathered batch into the query result: it
+// materializes the rows (the late-materialization boundary), then runs
+// BIND columns, post-bind filters, aggregation, ORDER BY, OFFSET/LIMIT
+// and projection. No collective runs here, so one rank can finish
+// alone: the engine's query path finishes on rank 0 only, while
+// RunPlan finishes on every rank. UDF time spent here is charged to
+// the "finish" phase, whose per-rank maximum is the same whether one
+// rank finishes or all do.
+func (e *Engine) finishPlanBatch(r *mpp.Rank, pl *plan.Plan, g gatheredBatch, rec *obs.RankRecorder) (*exec.Table, error) {
+	r.SetPhase("finish")
+	tab := g.b.Materialize()
+	mb, mm := g.b.MaterializeFootprint()
+	g.op.AllocBytes += mb
+	g.op.Mallocs += mm
+	g.ot.record(rec, r, g.op)
 	tab = e.applyBinds(r, pl, tab, rec)
 	if len(pl.Aggregates) > 0 {
 		ot := startOp(rec, r)
 		in := tab.Len()
+		var err error
 		tab, err = exec.Aggregate(tab, pl.GroupBy, pl.Aggregates, e.res())
 		if err != nil {
 			return nil, err
@@ -105,6 +133,27 @@ func (e *Engine) runPlanBatch(ctx context.Context, r *mpp.Rank, pl *plan.Plan, r
 		tab = tab.Slice(pl.Offset, pl.Limit)
 	}
 	return tab.Project(pl.Select)
+}
+
+// skipFinish is finishPlanBatch's trace stand-in on a rank that leaves
+// the finish to rank 0: it records the gather sample and a zero-work
+// sample for each finish operator, so every rank's recorder holds the
+// same op sequence and obs.BuildTrace sums the finish ops to rank 0's
+// counts.
+func skipFinish(r *mpp.Rank, pl *plan.Plan, g gatheredBatch, rec *obs.RankRecorder) {
+	if rec == nil {
+		return
+	}
+	g.ot.record(rec, r, g.op)
+	if len(pl.Binds) > 0 {
+		rec.Record(obs.OpSample{Op: "bind"})
+	}
+	if len(pl.PostFilters) > 0 {
+		rec.Record(obs.OpSample{Op: "filter", Note: "post-bind"})
+	}
+	if len(pl.Aggregates) > 0 {
+		rec.Record(obs.OpSample{Op: "aggregate"})
+	}
 }
 
 // runStepsBatch is the columnar runSteps: identical step dispatch,
@@ -152,9 +201,11 @@ func (e *Engine) runStepsBatch(ctx context.Context, r *mpp.Rank, steps []plan.St
 			if err != nil {
 				return nil, err
 			}
-			sb, sm := freshSince(a, fb0, fm0)
-			ot.record(rec, r, obs.OpSample{Depth: depth, Op: "scan", Label: pat.String(), RowsOut: t.Len(),
-				AllocBytes: sb, Mallocs: sm})
+			if rec != nil {
+				sb, sm := freshSince(a, fb0, fm0)
+				ot.record(rec, r, obs.OpSample{Depth: depth, Op: "scan", Label: pat.String(), RowsOut: t.Len(),
+					AllocBytes: sb, Mallocs: sm})
+			}
 			if b == nil {
 				b = t
 			} else if err := join(t, "join", false); err != nil {
@@ -195,7 +246,7 @@ func (e *Engine) runStepsBatch(ctx context.Context, r *mpp.Rank, steps []plan.St
 					Depth: depth, Op: "filter",
 					RowsIn: fstats.Evaluated, RowsOut: fstats.Passed,
 					AllocBytes: db, Mallocs: dm,
-					Note: "order: " + strings.Join(fstats.Order, " AND "),
+					Note: orderNote(fstats.Chain),
 				})
 			}
 			if err := r.Barrier(); err != nil {
@@ -216,13 +267,13 @@ func (e *Engine) runStepsBatch(ctx context.Context, r *mpp.Rank, steps []plan.St
 				parts = append(parts, bt)
 			}
 			unionB := exec.ConcatBatches(a, s.Vars, parts)
-			ub, um := freshSince(a, fb0, fm0)
 			if rec != nil {
+				ub, um := freshSince(a, fb0, fm0)
 				r.Account(ub, um, int64(unionB.Len()), 0)
+				rec.Record(obs.OpSample{Depth: depth, Op: "union", RowsOut: unionB.Len(),
+					Label:      fmt.Sprintf("%d branches", len(s.Branches)),
+					AllocBytes: ub, Mallocs: um})
 			}
-			rec.Record(obs.OpSample{Depth: depth, Op: "union", RowsOut: unionB.Len(),
-				Label:      fmt.Sprintf("%d branches", len(s.Branches)),
-				AllocBytes: ub, Mallocs: um})
 			if b == nil {
 				b = unionB
 			} else if err := join(unionB, "join", false); err != nil {
@@ -248,15 +299,19 @@ func (e *Engine) runStepsBatch(ctx context.Context, r *mpp.Rank, steps []plan.St
 				}
 				in := b.Len()
 				b = exec.SemiFilterBatch(a, b, col, knnKeepSet(ids))
-				db, dm := freshSince(a, fb0, fm0)
-				ot.record(rec, r, obs.OpSample{Depth: depth, Op: "knn", Label: s.Sim.String(),
-					RowsIn: in, RowsOut: b.Len(), AllocBytes: db, Mallocs: dm,
-					Note: knnNote(info, true)})
+				if rec != nil {
+					db, dm := freshSince(a, fb0, fm0)
+					ot.record(rec, r, obs.OpSample{Depth: depth, Op: "knn", Label: s.Sim.String(),
+						RowsIn: in, RowsOut: b.Len(), AllocBytes: db, Mallocs: dm,
+						Note: knnNote(info, true)})
+				}
 			} else {
 				t := exec.KNNBatch(a, s.Sim.Var, knnPartition(ids, r.ID(), e.Topo.Size()))
-				db, dm := freshSince(a, fb0, fm0)
-				ot.record(rec, r, obs.OpSample{Depth: depth, Op: "knn", Label: s.Sim.String(),
-					RowsOut: t.Len(), AllocBytes: db, Mallocs: dm, Note: knnNote(info, false)})
+				if rec != nil {
+					db, dm := freshSince(a, fb0, fm0)
+					ot.record(rec, r, obs.OpSample{Depth: depth, Op: "knn", Label: s.Sim.String(),
+						RowsOut: t.Len(), AllocBytes: db, Mallocs: dm, Note: knnNote(info, false)})
+				}
 				if b == nil {
 					b = t
 				} else if err := join(t, "join", false); err != nil {
@@ -269,9 +324,11 @@ func (e *Engine) runStepsBatch(ctx context.Context, r *mpp.Rank, steps []plan.St
 			fb0, fm0 := a.Fresh()
 			rows := exec.ResolveValues(s.Values, e.Graph.Dict)
 			t := exec.ValuesBatch(r, a, s.Values.Vars, rows)
-			db, dm := freshSince(a, fb0, fm0)
-			ot.record(rec, r, obs.OpSample{Depth: depth, Op: "values", Label: s.Values.String(),
-				RowsOut: t.Len(), AllocBytes: db, Mallocs: dm})
+			if rec != nil {
+				db, dm := freshSince(a, fb0, fm0)
+				ot.record(rec, r, obs.OpSample{Depth: depth, Op: "values", Label: s.Values.String(),
+					RowsOut: t.Len(), AllocBytes: db, Mallocs: dm})
+			}
 			if b == nil {
 				b = t
 			} else if err := join(t, "join", false); err != nil {
@@ -292,6 +349,20 @@ func (e *Engine) runStepsBatch(ctx context.Context, r *mpp.Rank, steps []plan.St
 		}
 	}
 	return b, nil
+}
+
+// orderNote renders a FILTER's conjunct evaluation order for its trace
+// op; called only when a trace will read it.
+func orderNote(chain []expr.Expr) string {
+	var sb strings.Builder
+	sb.WriteString("order: ")
+	for i, c := range chain {
+		if i > 0 {
+			sb.WriteString(" AND ")
+		}
+		sb.WriteString(c.String())
+	}
+	return sb.String()
 }
 
 // patternOf extracts the triple pattern from a scan or join step.

@@ -431,22 +431,17 @@ func (e *Engine) execute(ctx context.Context, q *sparql.Query, traced bool, qs s
 	}
 
 	execStart := time.Now()
-	rows := make([][][]expr.Value, e.Topo.Size())
-	var vars []string
+	var out *exec.Table
 	report, err := mpp.RunCtx(ctx, e.Topo, e.Net, e.Seed, func(r *mpp.Rank) error {
 		var rec *obs.RankRecorder
 		if recs != nil {
 			rec = recs[r.ID()]
 		}
-		tab, err := e.runPlanRec(ctx, r, pl, rec, qprofs, arenas)
-		if err != nil {
-			return err
-		}
+		tab, err := e.queryRank(ctx, r, pl, rec, qprofs, arenas)
 		if r.ID() == 0 {
-			vars = tab.Vars
+			out = tab
 		}
-		rows[r.ID()] = tab.Rows
-		return nil
+		return err
 	})
 	// Fold the query's profiling deltas into the persistent per-rank
 	// profiles (even on error: partial executions still inform cost
@@ -467,7 +462,7 @@ func (e *Engine) execute(ctx context.Context, q *sparql.Query, traced bool, qs s
 			"wall_seconds", time.Since(start).Seconds())
 		return nil, err
 	}
-	res := &Result{Vars: vars, Rows: rows[0], Report: report, Plan: pl}
+	res := &Result{Vars: out.Vars, Rows: out.Rows, Report: report, Plan: pl}
 	wall := time.Since(start).Seconds()
 	allocB, allocM := obs.ReadAllocs().DeltaSince(alloc0)
 	ru := &obs.ResourceUsage{AllocBytes: allocB, Mallocs: allocM}
@@ -538,32 +533,52 @@ func (e *Engine) observeWorkload(ctx context.Context, ob insights.Observation) *
 	return &d
 }
 
-// RunPlan executes the plan steps on one rank and returns the final
-// (gathered, ordered, projected) table — identical on every rank.
-// Exposed so workflow drivers can embed queries inside a larger
-// mpp.Run with extra stages (e.g. docking) in the same world. It
-// records straight into the persistent per-rank profiles (which are
-// internally synchronized); the caller is responsible for excluding
-// concurrent updates for the duration of its world.
-func (e *Engine) RunPlan(r *mpp.Rank, pl *plan.Plan) (*exec.Table, error) {
-	return e.runPlanRec(context.Background(), r, pl, nil, e.profilers, nil)
+// queryRank is one rank's share of an engine query. On the columnar
+// path every rank runs the plan through the gather collective, and only
+// rank 0 finishes it into the result table — the one table execute
+// reads; the other ranks return nil. The row engine, kept as the
+// equivalence oracle, finishes on every rank.
+func (e *Engine) queryRank(ctx context.Context, r *mpp.Rank, pl *plan.Plan, rec *obs.RankRecorder, profs []*udf.Profiler, arenas []*exec.Arena) (*exec.Table, error) {
+	if !e.Opts.Columnar {
+		return e.runPlanRows(ctx, r, pl, rec, profs)
+	}
+	g, err := e.gatherPlanBatch(ctx, r, pl, rec, profs, arenas[r.ID()])
+	if err != nil {
+		return nil, err
+	}
+	if r.ID() != 0 {
+		skipFinish(r, pl, g, rec)
+		return nil, nil
+	}
+	return e.finishPlanBatch(r, pl, g, rec)
 }
 
-// runPlanRec is RunPlan with an optional per-rank trace recorder, an
-// explicit profiler set (per-query overlays on the engine's query
-// path, the persistent profiles for embedded RunPlan callers), and the
-// world's columnar arenas (nil = allocate a private arena per rank, as
-// embedded RunPlan callers run inside a foreign mpp.Run).
-func (e *Engine) runPlanRec(ctx context.Context, r *mpp.Rank, pl *plan.Plan, rec *obs.RankRecorder, profs []*udf.Profiler, arenas []*exec.Arena) (*exec.Table, error) {
-	if e.Opts.Columnar {
-		var a *exec.Arena
-		if arenas != nil {
-			a = arenas[r.ID()]
-		} else {
-			a = exec.NewArena()
-		}
-		return e.runPlanBatch(ctx, r, pl, rec, profs, a)
+// RunPlan executes the plan steps on one rank and returns the final
+// (gathered, ordered, projected) table — identical on every rank:
+// unlike the engine's own query path, every rank finishes the plan.
+// Exposed so workflow drivers can embed queries inside a larger
+// mpp.Run with extra stages (e.g. docking every survivor on every
+// rank) in the same world. It records straight into the persistent
+// per-rank profiles (which are internally synchronized) and gives each
+// rank a private arena; the caller is responsible for excluding
+// concurrent updates for the duration of its world.
+func (e *Engine) RunPlan(r *mpp.Rank, pl *plan.Plan) (*exec.Table, error) {
+	ctx := context.Background()
+	if !e.Opts.Columnar {
+		return e.runPlanRows(ctx, r, pl, nil, e.profilers)
 	}
+	g, err := e.gatherPlanBatch(ctx, r, pl, nil, e.profilers, exec.NewArena())
+	if err != nil {
+		return nil, err
+	}
+	return e.finishPlanBatch(r, pl, g, nil)
+}
+
+// runPlanRows executes the plan on one rank through the row operators
+// and returns the final table on every rank, with an optional per-rank
+// trace recorder and an explicit profiler set (per-query overlays on
+// the engine's query path, the persistent profiles for RunPlan).
+func (e *Engine) runPlanRows(ctx context.Context, r *mpp.Rank, pl *plan.Plan, rec *obs.RankRecorder, profs []*udf.Profiler) (*exec.Table, error) {
 	tab, err := e.runSteps(ctx, r, pl.Steps, nil, rec, profs, 0)
 	if err != nil {
 		return nil, err
@@ -590,6 +605,7 @@ func (e *Engine) runPlanRec(ctx context.Context, r *mpp.Rank, pl *plan.Plan, rec
 	gb, gm := tab.FootprintShallow()
 	ot.record(rec, r, obs.OpSample{Op: "gather", RowsIn: in, RowsOut: tab.Len(),
 		AllocBytes: gb, Mallocs: gm})
+	r.SetPhase("finish")
 	tab = e.applyBinds(r, pl, tab, rec)
 	if len(pl.Aggregates) > 0 {
 		ot := startOp(rec, r)
@@ -622,9 +638,11 @@ func (e *Engine) applyBinds(r *mpp.Rank, pl *plan.Plan, tab *exec.Table, rec *ob
 		ot := startOp(rec, r)
 		in := tab.Len()
 		tab = exec.ApplyBinds(r, tab, pl.Binds, e.Reg, res)
-		ab, am := tab.Footprint()
-		ot.record(rec, r, obs.OpSample{Op: "bind", RowsIn: in, RowsOut: tab.Len(),
-			Label: fmt.Sprintf("%d columns", len(pl.Binds)), AllocBytes: ab, Mallocs: am})
+		if rec != nil {
+			ab, am := tab.Footprint()
+			ot.record(rec, r, obs.OpSample{Op: "bind", RowsIn: in, RowsOut: tab.Len(),
+				Label: fmt.Sprintf("%d columns", len(pl.Binds)), AllocBytes: ab, Mallocs: am})
+		}
 	}
 	if len(pl.PostFilters) > 0 {
 		ot := startOp(rec, r)

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ids/internal/mpp"
 	"ids/internal/obs"
 	"ids/internal/obs/insights"
 	"ids/internal/plan"
@@ -488,7 +489,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.retained.Inc()
 		s.exportTrace(stub)
 		s.log.ErrorContext(ctx, "query failed", "wall_seconds", wall, "err", err)
-		writeErr(w, http.StatusBadRequest, err)
+		// A rank panic is a server fault, not a bad request.
+		code := http.StatusBadRequest
+		if errors.Is(err, mpp.ErrPanic) {
+			code = http.StatusInternalServerError
+		}
+		writeErr(w, code, err)
 		return
 	}
 	var retain bool

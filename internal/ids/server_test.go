@@ -2,6 +2,8 @@ package ids
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -9,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ids/internal/expr"
 	"ids/internal/kg"
 	"ids/internal/mpp"
 )
@@ -52,6 +55,42 @@ func TestHTTPQueryError(t *testing.T) {
 	if !strings.Contains(strings.ToLower(
 		func() string { _, err := c.Query(`SELECT nonsense`); return err.Error() }()), "sparql") {
 		t.Fatal("error message lost")
+	}
+}
+
+// TestHTTPQueryPanicIs500 pins the status split on /query: a malformed
+// query is the client's fault (400), a rank panic inside the engine is
+// the server's (500).
+func TestHTTPQueryPanicIs500(t *testing.T) {
+	s, ts := testServer(t)
+	if err := s.Engine.Reg.Register("boom", func([]expr.Value) (expr.Value, error) {
+		panic("udf exploded")
+	}); err != nil {
+		t.Fatal(err)
+	}
+	post := func(q string) (int, string) {
+		t.Helper()
+		body, _ := json.Marshal(QueryRequest{Query: q})
+		resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out map[string]string
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out["error"]
+	}
+	if code, _ := post(`SELECT nonsense`); code != http.StatusBadRequest {
+		t.Fatalf("parse error status = %d, want 400", code)
+	}
+	code, msg := post(`SELECT ?s WHERE { ?s <http://x/age> ?a . FILTER(boom(?a)) }`)
+	if code != http.StatusInternalServerError {
+		t.Fatalf("rank panic status = %d, want 500 (%s)", code, msg)
+	}
+	if !strings.Contains(msg, "udf exploded") {
+		t.Fatalf("panic message lost: %q", msg)
 	}
 }
 

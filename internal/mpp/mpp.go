@@ -102,7 +102,7 @@ type Rank struct {
 	vt    float64 // virtual clock, seconds
 	phase string
 	acc   map[string]float64 // phase -> accumulated virtual seconds
-	rng   *rand.Rand
+	rng   *rand.Rand         // built on first RNG call
 	err   error
 	comm  CommStats     // rank-local collective accounting
 	res   ResourceStats // rank-local resource accounting (see Account)
@@ -135,8 +135,14 @@ func (r *Rank) Nodes() int { return r.w.topo.Nodes }
 func (r *Rank) Now() float64 { return r.vt }
 
 // RNG returns the rank's deterministic random source, seeded from the
-// world seed and the rank id.
-func (r *Rank) RNG() *rand.Rand { return r.rng }
+// world seed and the rank id. The source is built on first use: most
+// jobs never draw from it, and seeding one costs a few KiB per rank.
+func (r *Rank) RNG() *rand.Rand {
+	if r.rng == nil {
+		r.rng = rand.New(rand.NewSource(r.w.seed ^ int64(uint64(r.id+1)*0x9e3779b97f4a7c15>>1)))
+	}
+	return r.rng
+}
 
 // SetPhase switches the accounting phase; subsequent Charge calls are
 // attributed to it. Phase names become rows in the report breakdown
@@ -291,7 +297,6 @@ func RunCtx(ctx context.Context, topo Topology, net NetModel, seed int64, body f
 			ctx:   ctx,
 			acc:   make(map[string]float64),
 			phase: "main",
-			rng:   rand.New(rand.NewSource(seed ^ int64(uint64(i+1)*0x9e3779b97f4a7c15>>1))),
 		}
 		w.ranks[i] = r
 		go func(r *Rank) {

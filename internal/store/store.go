@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"ids/internal/fault"
 )
@@ -102,6 +103,10 @@ func (s *Store) saveIndexLocked() error {
 	return s.fs.Rename(tmp, s.indexPath())
 }
 
+// tmpSeq numbers object temp files process-wide, since several Stores
+// in one process may share an objects directory.
+var tmpSeq atomic.Int64
+
 // Hash returns the content hash of data as hex.
 func Hash(data []byte) string {
 	h := sha256.Sum256(data)
@@ -115,7 +120,9 @@ func (s *Store) Put(name string, data []byte) (string, float64, error) {
 	hash := Hash(data)
 	path := filepath.Join(s.dir, "objects", hash)
 	if _, err := s.fs.Stat(path); errors.Is(err, os.ErrNotExist) {
-		tmp := path + ".tmp"
+		// A writer-unique temp name: concurrent Puts of the same content
+		// each rename their own complete copy into place.
+		tmp := fmt.Sprintf("%s.%d-%d.tmp", path, os.Getpid(), tmpSeq.Add(1))
 		if err := s.fs.WriteFile(tmp, data, 0o644); err != nil {
 			return "", 0, fmt.Errorf("store: %w", err)
 		}
